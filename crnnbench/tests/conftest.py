@@ -1,0 +1,7 @@
+"""Make the checkout root and ``src`` importable for the benchmark's tests."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
